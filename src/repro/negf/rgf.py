@@ -191,11 +191,11 @@ class RGFSolver:
         historical always-recompute behaviour (and its measured flop
         profile) untouched.
     lead_tokens : (str, str) or None
-        Precomputed (left, right) cache tokens — e.g. derived from a
-        :class:`repro.parallel.DevicePlan` fingerprint — so workers
-        rebuilt from published blocks skip re-hashing the lead bytes.
+        Precomputed (left, right) cache tokens — e.g. the parent
+        solver's own, handed to its FP64 escalation twin — so a solver
+        over already-hashed leads skips re-hashing the lead bytes.
         None hashes the lead blocks as usual.
-    precision : {"fp64", "mixed", "fp32"} or None
+    precision : {"fp64", "mixed"} or None
         Numeric execution mode.  ``None``/``"fp64"`` is the historical
         complex128 path, bit-identical to every prior release.
         ``"mixed"`` factors in complex64 and certifies each energy with
@@ -204,9 +204,8 @@ class RGFSolver:
         ``None`` from :meth:`solve_batch` and raise
         :class:`~repro.errors.PrecisionEscalationError` from
         :meth:`solve` so the caller's degradation ladder re-solves them
-        on the FP64 path.  ``"fp32"`` is pure complex64 screening
-        (including the decimation) with no certification.  The raw
-        solver never reads ``REPRO_PRECISION`` — only
+        on the FP64 path.  The raw solver never reads
+        ``REPRO_PRECISION`` — only
         :class:`~repro.core.TransportCalculation` consumes the
         environment, mirroring ``REPRO_BACKEND``.
     refine_faults : iterable of float or None
@@ -230,21 +229,6 @@ class RGFSolver:
         if hamiltonian.n_blocks < 2:
             raise ValueError("transport needs at least 2 slabs")
         self.precision = resolve_precision(precision)
-        if self.precision == "fp32":
-            # round the operator once, up front: the screening operator
-            # *is* the complex64 Hamiltonian, so a solver built from
-            # full-precision blocks and one rebuilt from a complex64
-            # zero-copy plan see bit-identical inputs everywhere
-            hamiltonian = BlockTridiagonalHamiltonian(
-                diagonal=[
-                    np.ascontiguousarray(d, dtype=np.complex64)
-                    for d in hamiltonian.diagonal
-                ],
-                upper=[
-                    np.ascontiguousarray(u, dtype=np.complex64)
-                    for u in hamiltonian.upper
-                ],
-            )
         self.H = hamiltonian
         self.eta = eta
         self.surface_method = surface_method
@@ -283,13 +267,11 @@ class RGFSolver:
             energy, h00_l, h01_l, side="left",
             method=self.surface_method, eta=self.eta,
             cache=self.sigma_cache, cache_token=self._token_left,
-            precision=self.precision,
         )
         sig_r = contact_self_energy(
             energy, h00_r, h01_r, side="right",
             method=self.surface_method, eta=self.eta,
             cache=self.sigma_cache, cache_token=self._token_right,
-            precision=self.precision,
         )
         return sig_l, sig_r
 
@@ -299,13 +281,11 @@ class RGFSolver:
             energies, *self.lead_left, side="left",
             method=self.surface_method, eta=self.eta,
             cache=self.sigma_cache, cache_token=self._token_left,
-            precision=self.precision,
         )
         sigs_r = contact_self_energy_batch(
             energies, *self.lead_right, side="right",
             method=self.surface_method, eta=self.eta,
             cache=self.sigma_cache, cache_token=self._token_right,
-            precision=self.precision,
         )
         return sigs_l, sigs_r
 
@@ -337,14 +317,6 @@ class RGFSolver:
         diag, upper, lower = assemble_system_blocks(
             self.H, energy, sig_l.sigma, sig_r.sigma
         )
-        if self.precision == "fp32":
-            diag = [np.ascontiguousarray(d, dtype=np.complex64) for d in diag]
-            upper = [
-                np.ascontiguousarray(u, dtype=np.complex64) for u in upper
-            ]
-            lower = [
-                np.ascontiguousarray(l, dtype=np.complex64) for l in lower
-            ]
         lu = BlockTridiagLU(diag, upper, lower)
 
         col0 = lu.solve_block_column(0)  # G_{i,0}
@@ -440,9 +412,9 @@ class RGFSolver:
         """The full-FP64 escalation twin of this solver (cached).
 
         Shares the Hamiltonian, leads, eta, surface method and the sigma
-        cache (mixed-mode self-energies are keyed with the ``"fp64"``
-        precision token, so the twin hits the very same entries
-        bit-for-bit).  A pure-FP64 solver is its own twin.
+        cache (self-energies are always computed in fp64, so the twin
+        hits the very same entries bit-for-bit).  A pure-FP64 solver is
+        its own twin.
         """
         if self.precision == "fp64":
             return self
@@ -508,14 +480,6 @@ class RGFSolver:
             diag.append(a)
         upper = [-u for u in self.H.upper]
         lower = [-u.conj().T for u in self.H.upper]
-        if self.precision == "fp32":
-            diag = [np.ascontiguousarray(d, dtype=np.complex64) for d in diag]
-            upper = [
-                np.ascontiguousarray(u, dtype=np.complex64) for u in upper
-            ]
-            lower = [
-                np.ascontiguousarray(l, dtype=np.complex64) for l in lower
-            ]
         lu = BatchedBlockTridiagLU(diag, upper, lower)
 
         col0 = lu.solve_block_column(0)  # G_{i,0} stacks

@@ -27,35 +27,7 @@ __all__ = [
     "LeadSelfEnergy",
     "contact_self_energy",
     "contact_self_energy_batch",
-    "plan_cache_token",
 ]
-
-
-def plan_cache_token(fingerprint: str, side: str) -> str:
-    """Self-energy cache token derived from a DevicePlan fingerprint.
-
-    A zero-copy worker rebuilds its solver from the published block
-    views; the plan fingerprint already hashes those bytes, so deriving
-    the token from it is exactly as collision-safe as re-running
-    :func:`repro.parallel.lead_token` over the lead blocks — without
-    touching a single array byte in the worker.  The ``"plan:"`` prefix
-    keeps the derived namespace disjoint from direct lead hashes.
-
-    Parameters
-    ----------
-    fingerprint : str
-        :attr:`repro.parallel.DevicePlan.fingerprint` of the plan the
-        solver was rebuilt from.
-    side : {"left", "right"}
-        Which contact the token keys.
-
-    Returns
-    -------
-    str
-        Token for the ``cache_token`` argument of
-        :func:`contact_self_energy`.
-    """
-    return f"plan:{fingerprint}:{side}"
 
 
 @dataclass(frozen=True)
@@ -108,33 +80,9 @@ class LeadSelfEnergy:
         return U[:, keep] * np.sqrt(ev[keep])[None, :]
 
 
-def _sigma_precision(precision) -> str:
-    """Numeric-content precision token of a self-energy evaluation.
-
-    ``"fp32"`` only for the pure-complex64 screening mode; ``"mixed"``
-    maps to ``"fp64"`` because mixed-mode transport deliberately keeps
-    its self-energies in full double precision (the per-kernel
-    validation showed the fp32 decimation cannot be certified for
-    propagating modes, and the LAPACK-bound solves gain nothing from
-    complex64 anyway) — so a mixed run and a pure-FP64 run share cache
-    entries bit-for-bit.
-    """
-    from ..solvers.precision import resolve_precision
-
-    return "fp32" if resolve_precision(precision) == "fp32" else "fp64"
-
-
-def _cache_key(cache_token, side, method, eta, energy, precision="fp64"):
-    """Exact (no rounding) cache key of one self-energy evaluation.
-
-    The trailing precision token keys the *numeric content* of the
-    stored sigma, so complex64 screening results can never be served to
-    a double-precision solve (or vice versa).
-    """
-    return (
-        cache_token, side, method, float(eta), float(energy),
-        _sigma_precision(precision),
-    )
+def _cache_key(cache_token, side, method, eta, energy):
+    """Exact (no rounding) cache key of one self-energy evaluation."""
+    return (cache_token, side, method, float(eta), float(energy))
 
 
 def _resolve_token(cache_token, h00, h01, tau):
@@ -161,7 +109,6 @@ def contact_self_energy(
     eta: float = 1e-6,
     cache=None,
     cache_token: str | None = None,
-    precision: str = "fp64",
 ) -> LeadSelfEnergy:
     """Compute the retarded self-energy of one contact.
 
@@ -189,26 +136,17 @@ def contact_self_energy(
     cache_token : str or None
         Precomputed lead fingerprint (``repro.parallel.lead_token``);
         None computes it here, callers in hot loops should precompute.
-    precision : {"fp64", "mixed", "fp32"}
-        Numeric mode of the evaluation.  ``"fp32"`` runs the decimation
-        in complex64 and returns a complex64 sigma; ``"mixed"`` is
-        identical to ``"fp64"`` here (see :func:`_sigma_precision`).
-        The token is part of the cache key either way.
     """
-    fp32 = _sigma_precision(precision) == "fp32"
     key = None
     if cache is not None:
         cache_token = _resolve_token(cache_token, h00, h01, tau)
-        key = _cache_key(cache_token, side, method, eta, energy, precision)
+        key = _cache_key(cache_token, side, method, eta, energy)
         hit = cache.lookup(key)
         if hit is not None:
             return hit
     degraded = False
     if method == "sancho":
-        g, _ = sancho_rubio(
-            energy, h00, h01, side=side, eta=eta,
-            dtype=np.complex64 if fp32 else None,
-        )
+        g, _ = sancho_rubio(energy, h00, h01, side=side, eta=eta)
     elif method == "eigen":
         g = eigen_surface_gf(energy, h00, h01, side=side, eta=eta)
     elif method == "robust":
@@ -230,10 +168,6 @@ def contact_self_energy(
         sigma = tau.conj().T @ g @ tau
     else:
         sigma = tau @ g @ tau.conj().T
-    if fp32:
-        # non-sancho fallbacks computed the triple product in fp64;
-        # the stored screening sigma is complex64 regardless
-        sigma = np.ascontiguousarray(sigma, dtype=np.complex64)
     result = LeadSelfEnergy(sigma=sigma, side=side, energy=energy)
     if cache is not None:
         if degraded:
@@ -253,7 +187,6 @@ def contact_self_energy_batch(
     eta: float = 1e-6,
     cache=None,
     cache_token: str | None = None,
-    precision: str = "fp64",
 ) -> list[LeadSelfEnergy]:
     """Self-energies of one contact for a whole batch of energies.
 
@@ -262,10 +195,8 @@ def contact_self_energy_batch(
     and one broadcast ``tau^+ g tau`` triple product — per-slice
     identical to the scalar path.  Other methods fall back to the
     per-point function (they are not batch-vectorised).  Results are in
-    ``energies`` order.  ``precision`` behaves as in
-    :func:`contact_self_energy` (and is part of every cache key).
+    ``energies`` order.
     """
-    fp32 = _sigma_precision(precision) == "fp32"
     energy_list = [float(e) for e in np.asarray(energies, dtype=float).ravel()]
     results: list = [None] * len(energy_list)
     if cache is not None:
@@ -274,7 +205,7 @@ def contact_self_energy_batch(
     for i, e in enumerate(energy_list):
         if cache is not None:
             hit = cache.lookup(
-                _cache_key(cache_token, side, method, eta, e, precision)
+                _cache_key(cache_token, side, method, eta, e)
             )
             if hit is not None:
                 results[i] = hit
@@ -285,16 +216,13 @@ def contact_self_energy_batch(
     if method == "sancho":
         e_missing = np.array([energy_list[i] for i in missing])
         g_stack, _ = sancho_rubio_batch(
-            e_missing, h00, h01, side=side, eta=eta,
-            dtype=np.complex64 if fp32 else None,
+            e_missing, h00, h01, side=side, eta=eta
         )
         tau_arr = np.asarray(h01 if tau is None else tau, dtype=complex)
         if side == "left":
             sigma_stack = tau_arr.conj().T @ g_stack @ tau_arr
         else:
             sigma_stack = tau_arr @ g_stack @ tau_arr.conj().T
-        if fp32:
-            sigma_stack = sigma_stack.astype(np.complex64)
         for j, i in enumerate(missing):
             res = LeadSelfEnergy(
                 sigma=np.ascontiguousarray(sigma_stack[j]),
@@ -305,8 +233,7 @@ def contact_self_energy_batch(
             if cache is not None:
                 cache.store(
                     _cache_key(
-                        cache_token, side, method, eta, energy_list[i],
-                        precision,
+                        cache_token, side, method, eta, energy_list[i]
                     ),
                     res,
                 )
@@ -315,6 +242,6 @@ def contact_self_energy_batch(
             results[i] = contact_self_energy(
                 energy_list[i], h00, h01, tau=tau, side=side,
                 method=method, eta=eta, cache=cache,
-                cache_token=cache_token, precision=precision,
+                cache_token=cache_token,
             )
     return results

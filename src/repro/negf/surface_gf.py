@@ -91,24 +91,6 @@ def _surface_health_check(g, energy, eta, h00, h01, side) -> None:
     )
 
 
-def _decimation_dtype(dtype) -> tuple[np.dtype, float]:
-    """Resolve the working dtype of a decimation and its tolerance floor.
-
-    complex64 iterations plateau at ``~u32 * ||h01||`` instead of
-    converging to 1e-14, so the fixed-point tolerance is floored at
-    ``100 * eps(float32) ~ 1.2e-5`` — comfortably above the measured
-    rounding plateau (~5e-7) while still deep in the quadratic regime.
-    """
-    cdt = np.dtype(np.complex128 if dtype is None else dtype)
-    if cdt == np.dtype(np.complex64):
-        return cdt, 100.0 * float(np.finfo(np.float32).eps)
-    if cdt != np.dtype(np.complex128):
-        raise ValueError(
-            f"surface-GF dtype must be complex64 or complex128, got {cdt}"
-        )
-    return cdt, 0.0
-
-
 def sancho_rubio(
     energy: float,
     h00: np.ndarray,
@@ -117,7 +99,6 @@ def sancho_rubio(
     eta: float = 1e-6,
     tol: float = 1e-14,
     max_iter: int = 200,
-    dtype=None,
 ) -> tuple[np.ndarray, int]:
     """Retarded surface Green's function by decimation.
 
@@ -137,33 +118,26 @@ def sancho_rubio(
         Iteration cap; each iteration doubles the decimated length, so 200
         covers 2^200 cells — non-convergence indicates eta = 0 exactly at a
         band edge.
-    dtype : dtype-like, optional
-        Working precision; ``None`` keeps the historical complex128
-        path bit-identical.  complex64 (the ``precision="fp32"``
-        screening mode) floors ``tol`` above the single-precision
-        rounding plateau so the fixed point still terminates.
 
     Returns
     -------
     (g, n_iter) : (ndarray, int)
         Surface GF and the number of decimation steps used.
     """
-    cdt, tol_floor = _decimation_dtype(dtype)
-    tol = max(tol, tol_floor)
     if side == "left":
-        alpha = np.array(h01.conj().T, dtype=cdt)
+        alpha = np.array(h01.conj().T, dtype=complex)
     elif side == "right":
-        alpha = np.array(h01, dtype=cdt)
+        alpha = np.array(h01, dtype=complex)
     else:
         raise ValueError("side must be 'left' or 'right'")
     if eta <= 0:
         raise ValueError("eta must be positive for a retarded GF")
     m = h00.shape[0]
-    z = np.asarray((energy + 1j * eta) * np.eye(m), dtype=cdt)
+    z = (energy + 1j * eta) * np.eye(m)
     beta = alpha.conj().T
-    eps_s = np.array(h00, dtype=cdt)
-    eps = np.array(h00, dtype=cdt)
-    eye_rhs = np.eye(m, dtype=cdt)
+    eps_s = np.array(h00, dtype=complex)
+    eps = np.array(h00, dtype=complex)
+    eye_rhs = np.eye(m, dtype=complex)
     for it in range(1, max_iter + 1):
         g_bulk = np.linalg.solve(z - eps, eye_rhs)
         agb = alpha @ g_bulk @ beta
@@ -220,7 +194,6 @@ def sancho_rubio_batch(
     eta: float = 1e-6,
     tol: float = 1e-14,
     max_iter: int = 200,
-    dtype=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decimation for a whole batch of energies in stacked numpy calls.
 
@@ -245,24 +218,22 @@ def sancho_rubio_batch(
         If *any* energy fails to converge within ``max_iter`` (reported
         for the first offending energy, as the scalar path would).
     """
-    cdt, tol_floor = _decimation_dtype(dtype)
-    tol = max(tol, tol_floor)
     energies = np.asarray(energies, dtype=float).ravel()
     n_batch = energies.size
     m = h00.shape[0]
     if n_batch == 0:
-        return np.empty((0, m, m), dtype=cdt), np.empty(0, dtype=int)
+        return np.empty((0, m, m), dtype=complex), np.empty(0, dtype=int)
     if side == "left":
-        alpha0 = np.array(h01.conj().T, dtype=cdt)
+        alpha0 = np.array(h01.conj().T, dtype=complex)
     elif side == "right":
-        alpha0 = np.array(h01, dtype=cdt)
+        alpha0 = np.array(h01, dtype=complex)
     else:
         raise ValueError("side must be 'left' or 'right'")
     if eta <= 0:
         raise ValueError("eta must be positive for a retarded GF")
     eye = np.eye(m)
-    z = np.asarray((energies + 1j * eta)[:, None, None] * eye, dtype=cdt)
-    eye_stack = np.broadcast_to(np.eye(m, dtype=cdt), (n_batch, m, m))
+    z = (energies + 1j * eta)[:, None, None] * eye
+    eye_stack = np.broadcast_to(np.eye(m, dtype=complex), (n_batch, m, m))
     alpha = np.ascontiguousarray(
         np.broadcast_to(alpha0, (n_batch, m, m))
     )
@@ -270,12 +241,12 @@ def sancho_rubio_batch(
         np.broadcast_to(alpha0.conj().T, (n_batch, m, m))
     )
     eps_s = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(h00, dtype=cdt), (n_batch, m, m))
+        np.broadcast_to(np.asarray(h00, dtype=complex), (n_batch, m, m))
     )
     eps = eps_s.copy()
     active = np.arange(n_batch)
     iters = np.zeros(n_batch, dtype=int)
-    g_out = np.empty((n_batch, m, m), dtype=cdt)
+    g_out = np.empty((n_batch, m, m), dtype=complex)
     for it in range(1, max_iter + 1):
         g_bulk = np.linalg.solve(z - eps, eye_stack[: active.size])
         agb = alpha @ g_bulk @ beta

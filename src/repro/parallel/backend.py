@@ -1,6 +1,6 @@
 """Execution backends and the contact self-energy cache.
 
-This is the batched-execution layer of the reproduction (ISSUE 4): the
+This is the batched-execution layer of the reproduction: the
 transport driver hands whole *chunks* of independent energy points to an
 :class:`ExecutionBackend`, which runs them serially, on threads, or on a
 ``ProcessPoolExecutor`` — and the innermost kernels share a keyed,
@@ -10,10 +10,11 @@ k-points, SCF iterations and adaptive refinement waves (OMEN reuses its
 boundary self-energies the same way; they depend only on the lead blocks,
 not the interior device).  Keys are exact per energy, which is what makes
 wave-scheduled refinement compose with the cache: every wave of one
-(bias, k) plan resolves to the same ``lead_token``, a worker's
-plan-attached solver — and the cache inside it — persists across the
-waves it serves, and when the SCF loop re-solves the refined node set at
-the next iteration every Σ(E) computed during refinement is a hit.
+(bias, k) solve resolves to the same ``lead_token``, so when the SCF
+loop re-solves the refined node set at the next iteration every Σ(E)
+computed during refinement is a hit.  Serial and thread runs share the
+parent's cache object; process-pool chunks carry a pickled copy, so
+entries a child adds stay in that child.
 
 Backend choice is orthogonal to the 4-level decomposition model in
 :mod:`repro.parallel.decomposition`: the decomposition says *which* rank
@@ -382,9 +383,8 @@ class ProcessBackend(ExecutionBackend):
 
     ``fn`` and every item must be picklable.  Child-side tracer/metrics
     updates are captured per task (:func:`repro.observability.telemetry.
-    capture_telemetry`) and shipped back through the task return path —
-    either a shared-memory telemetry sidecar on the zero-copy path or
-    the pickled result envelope — then merged into the parent registries
+    capture_telemetry`) and shipped back in the pickled result envelope,
+    then merged into the parent registries
     (:func:`repro.observability.telemetry.merge_delta`), so ``flops.*``
     and ``selfenergy_cache.*`` totals match the serial backend exactly.
 

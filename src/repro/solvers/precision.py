@@ -9,9 +9,7 @@ residual.  This module is that engine for the block-tridiagonal solvers:
 * :func:`split_round` — a two-term complex64 representation
   ``a ~ hi + lo`` of a complex128 operator.  ``hi`` is the rounded
   operator the fp32 factorisation consumes; ``hi + lo`` recovers the
-  fp64 operator to ~3.6e-15 relative accuracy, so *every* backend
-  (serial, thread, process, zero-copy) refines against bit-identical
-  reference data even when the plan shipped only the split arrays.
+  fp64 operator to ~3.6e-15 relative accuracy.
 * :func:`refined_sliver_solve` — solve ``A X = B`` for a block column
   supported on one slab (the injection sliver of the RGF transmission
   formula) with a complex64 factor, then run fp64 iterative refinement
@@ -58,10 +56,8 @@ __all__ = [
 
 #: Recognised precision modes.  ``fp64`` is the untouched complex128
 #: path (bit-identical to every release before this module existed);
-#: ``mixed`` is fp32 factorisation + fp64 refinement to ``BETA_TOL``;
-#: ``fp32`` is pure complex64 screening (no refinement, loose tolerance,
-#: halved plan/arena bytes).
-PRECISIONS = ("fp64", "mixed", "fp32")
+#: ``mixed`` is fp32 factorisation + fp64 refinement to ``BETA_TOL``.
+PRECISIONS = ("fp64", "mixed")
 
 #: Per-energy normwise backward-error target of mixed-mode refinement.
 #: ~50x double-precision unit roundoff: one fp64 correction of a healthy

@@ -103,7 +103,6 @@ class WFSolver:
         factorization: str = "sparse",
         injection_tol_ev: float | None = None,
         sigma_cache=None,
-        lead_tokens=None,
         precision=None,
     ):
         if hamiltonian.n_blocks < 2:
@@ -143,13 +142,10 @@ class WFSolver:
         self.sigma_cache = sigma_cache
         self._token_left = self._token_right = None
         if sigma_cache is not None:
-            if lead_tokens is not None:
-                self._token_left, self._token_right = lead_tokens
-            else:
-                from ..parallel.backend import lead_token
+            from ..parallel.backend import lead_token
 
-                self._token_left = lead_token(*self.lead_left)
-                self._token_right = lead_token(*self.lead_right)
+            self._token_left = lead_token(*self.lead_left)
+            self._token_right = lead_token(*self.lead_right)
 
     # ------------------------------------------------------------------
     def self_energies(self, energy: float) -> tuple[LeadSelfEnergy, LeadSelfEnergy]:

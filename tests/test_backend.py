@@ -3,7 +3,8 @@
 Locks down the contracts of :mod:`repro.parallel.backend`:
 
 * serial / thread / process backends (with and without energy batching)
-  produce *identical* transport results and IV curves,
+  produce *identical* transport results and IV curves, and pickled rank
+  payloads on the process pool reduce to the sequential ranks exactly,
 * self-energy cache hit/miss/invalidation counters match the analytic
   expectations exactly, both on the cache object and in the mirrored
   ``selfenergy_cache.*`` metrics,
@@ -25,18 +26,13 @@ from repro.core import (
 from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel import (
     Decomposition,
-    DevicePlan,
-    PlanLeakWarning,
-    ResultArena,
     SelfEnergyCache,
     SerialComm,
-    active_plans,
     choose_level_sizes,
     get_backend,
     lead_token,
     round_robin,
     split_chunks,
-    unlink_leaked_plans,
 )
 from repro.resilience import SweepCheckpoint
 from tests.conftest import make_transport as _transport
@@ -107,6 +103,22 @@ class TestBackendEquivalence:
             assert a.v_gate == b.v_gate
             assert a.current_a == b.current_a
             assert a.converged == b.converged
+
+    def test_distributed_process_ranks_identical(self, built, reference):
+        """Pickled rank payloads on the process pool reduce to the
+        sequential ranks' density and current bit-for-bit."""
+        pot, _, _ = reference
+        ref = DistributedTransport(_transport(built)).solve_bias(
+            pot, 0.05, SerialComm(), n_ranks=4
+        )
+        dt = DistributedTransport(
+            _transport(built), backend="process", workers=2
+        )
+        out = dt.solve_bias(pot, 0.05, SerialComm(), n_ranks=4)
+        np.testing.assert_array_equal(
+            ref["density_per_atom"], out["density_per_atom"]
+        )
+        assert ref["current_a"] == out["current_a"]
 
     def test_env_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "thread")
@@ -279,151 +291,6 @@ class TestDecompositionEdges:
             Decomposition(1, 1, 1, (0, 1, 1, 1))
         with pytest.raises(IndexError):
             Decomposition(1, 1, 1, (1, 1, 1, 1)).rank_coordinates(1)
-
-
-class TestDevicePlanLifecycle:
-    """Publish/attach/unlink contract of the zero-copy plan layer."""
-
-    def _arrays(self):
-        rng = np.random.default_rng(42)
-        return {
-            "diag0": rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
-            "energies": np.linspace(-1.0, 1.0, 7),
-        }
-
-    def test_publish_attach_unlink_roundtrip(self):
-        from multiprocessing import shared_memory
-
-        arrays = self._arrays()
-        plan = DevicePlan.publish(arrays, meta={"kind": "test"}, mode="shared")
-        assert plan.plan_id in active_plans()
-        att = DevicePlan.attach(plan.plan_id)
-        assert att is plan  # publisher fast path: same handle
-        for name, arr in arrays.items():
-            view = att.array(name)
-            np.testing.assert_array_equal(view, arr)
-            assert not view.flags.writeable
-        # drop the view references: holding one across release() is
-        # tolerated (the mapping is left to the GC) but leaks the close
-        del view
-        assert plan.release() == 0
-        assert plan.closed
-        assert plan.plan_id not in active_plans()
-        with pytest.raises(FileNotFoundError):  # segment really unlinked
-            shared_memory.SharedMemory(name=plan.plan_id)
-
-    def test_refcount_survives_extra_acquire(self):
-        """The pool-restart salvage path holds an extra reference: the
-        segment must survive the first release and die on the last."""
-        plan = DevicePlan.publish(self._arrays(), mode="shared")
-        plan.acquire()
-        assert plan.refcount == 2
-        assert plan.release() == 1
-        assert not plan.closed
-        assert plan.plan_id in active_plans()
-        assert plan.release() == 0
-        assert plan.closed
-        with pytest.raises(RuntimeError):
-            plan.release()  # double release is an owner-side bug
-        with pytest.raises(RuntimeError):
-            plan.acquire()
-
-    def test_leak_detector_reclaims_and_warns(self):
-        plan = DevicePlan.publish(self._arrays(), mode="shared")
-        with pytest.warns(PlanLeakWarning):
-            leaked = unlink_leaked_plans(warn=True)
-        assert plan.plan_id in leaked
-        assert plan.closed
-        assert plan.plan_id not in active_plans()
-        # nothing left behind: a second sweep is empty
-        assert unlink_leaked_plans(warn=True) == []
-
-    def test_local_mode_is_reference_backed(self):
-        arrays = self._arrays()
-        plan = DevicePlan.publish(arrays, mode="local")
-        assert plan.plan_id.startswith("local-")
-        assert plan.array("diag0") is arrays["diag0"]
-        plan.release()
-        assert plan.plan_id not in active_plans()
-
-    def test_fingerprint_is_content_addressed(self):
-        a, b = self._arrays(), self._arrays()
-        shared = DevicePlan.publish(a, meta={"kind": "t"}, mode="shared")
-        local = DevicePlan.publish(b, meta={"kind": "t"}, mode="local")
-        changed = DevicePlan.publish(
-            {**self._arrays(), "energies": np.linspace(-1.0, 1.0, 9)},
-            meta={"kind": "t"}, mode="local",
-        )
-        try:
-            assert shared.fingerprint == local.fingerprint
-            assert changed.fingerprint != shared.fingerprint
-        finally:
-            shared.release()
-            local.release()
-            changed.release()
-
-    def test_result_arena_roundtrip(self):
-        arena = ResultArena.allocate(5, 8, mode="shared")
-        try:
-            att = ResultArena.attach(arena.arena_id)
-            att.rows[2, :] = np.arange(8.0)
-            att.rows[2, 0] = 1.0
-            assert arena.occupancy() == pytest.approx(1 / 5)
-            np.testing.assert_array_equal(
-                arena.rows[2, 1:], np.arange(8.0)[1:]
-            )
-        finally:
-            arena.release()
-        assert arena.arena_id not in active_plans()
-
-
-class TestZeroCopyEquivalence:
-    """The plan-dispatch path must be a pure relabelling of the legacy
-    payload path: bit-identical results, no segment left behind."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_solve_bias_identical(self, built, reference, backend, batch):
-        pot, grid, ref = reference
-        tc = _transport(
-            built, backend=backend, workers=2,
-            batch_energies=batch, zero_copy=True,
-        )
-        res = tc.solve_bias(pot, 0.05, energy_grid=grid)
-        assert res.current_a == ref.current_a
-        np.testing.assert_array_equal(res.transmission, ref.transmission)
-        np.testing.assert_array_equal(
-            res.density_per_atom, ref.density_per_atom
-        )
-        assert active_plans() == []
-
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_cached_zero_copy_identical(self, built, reference, backend):
-        pot, grid, ref = reference
-        tc = _transport(
-            built, backend=backend, workers=2,
-            sigma_cache=True, zero_copy=True,
-        )
-        for _ in range(2):  # second pass exercises warm plan caches
-            res = tc.solve_bias(pot, 0.05, energy_grid=grid)
-            assert res.current_a == ref.current_a
-            np.testing.assert_array_equal(res.transmission, ref.transmission)
-        assert active_plans() == []
-
-    def test_distributed_zero_copy_identical(self, built, reference):
-        pot, _, _ = reference
-        ref = DistributedTransport(_transport(built)).solve_bias(
-            pot, 0.05, SerialComm(), n_ranks=4
-        )
-        dt = DistributedTransport(
-            _transport(built), backend="process", workers=2, zero_copy=True
-        )
-        out = dt.solve_bias(pot, 0.05, SerialComm(), n_ranks=4)
-        np.testing.assert_array_equal(
-            ref["density_per_atom"], out["density_per_atom"]
-        )
-        assert ref["current_a"] == out["current_a"]
-        assert active_plans() == []
 
 
 class TestCheckpointResume:
